@@ -94,7 +94,6 @@ from repro.errors import (
 from repro.experiments import faults as faults_module
 from repro.experiments.spec import (
     DEFAULT_DATAFLOW,
-    DEFAULT_REPLAY_MODE,
     RESULTS_VERSION,
     RunSpec,
 )
@@ -368,7 +367,6 @@ class ExperimentRunner:
         progress: ProgressCallback | None = None,
         *,
         dataflow: str = DEFAULT_DATAFLOW,
-        replay_mode: str = DEFAULT_REPLAY_MODE,
         phase: str | None = None,
         serving: ServingParams | None = None,
         run_timeout: float | None = None,
@@ -385,12 +383,9 @@ class ExperimentRunner:
     ) -> None:
         """``dataflow`` is the engine the ``plan_*`` helpers default to
         (the CLI's ``--dataflow`` flag sets it; individual specs may
-        still override it explicitly); ``replay_mode`` likewise seeds the
-        ``plan_*`` helpers (``--replay-mode``; all modes are proven
-        byte-identical, see :mod:`repro.core.replay`); ``run_timeout``
-        bounds each run's
-        wall clock (seconds, ``None``
-        = unbounded); ``max_attempts`` caps executions per retriable spec;
+        still override it explicitly); ``run_timeout`` bounds each run's
+        wall clock (seconds, ``None`` = unbounded); ``max_attempts`` caps
+        executions per retriable spec;
         ``retry_jitter`` randomizes each backoff sleep by up to that
         fraction (0 restores the deterministic exponential schedule);
         ``retry_budget`` caps the total wall clock (seconds) a single
@@ -415,7 +410,6 @@ class ExperimentRunner:
         """
         self.scale = scale
         self.dataflow = dataflow
-        self.replay_mode = replay_mode
         #: Default serving axes the ``plan_*`` helpers thread into specs
         #: (``--phase`` and the serving knobs of the CLI); per-spec
         #: values still override them, mirroring ``dataflow``.
@@ -617,7 +611,6 @@ class ExperimentRunner:
         page_bytes: int = 4096,
         translation: bool = True,
         dataflow: str | None = None,
-        replay_mode: str | None = None,
         phase: str | None = None,
         serving: ServingParams | None = None,
     ) -> RunSpec:
@@ -632,8 +625,6 @@ class ExperimentRunner:
             page_bytes=page_bytes,
             translation=translation,
             dataflow=dataflow if dataflow is not None else self.dataflow,
-            replay_mode=replay_mode if replay_mode is not None
-            else self.replay_mode,
             phase=phase,
             serving=serving,
         )
@@ -646,7 +637,6 @@ class ExperimentRunner:
         page_bytes: int = 4096,
         translation: bool = True,
         dataflow: str | None = None,
-        replay_mode: str | None = None,
         phase: str | None = None,
         serving: ServingParams | None = None,
     ) -> RunSpec:
@@ -659,8 +649,6 @@ class ExperimentRunner:
             page_bytes=page_bytes,
             translation=translation,
             dataflow=dataflow if dataflow is not None else self.dataflow,
-            replay_mode=replay_mode if replay_mode is not None
-            else self.replay_mode,
             phase=phase,
             serving=serving,
         )
@@ -672,7 +660,6 @@ class ExperimentRunner:
         page_bytes: int = 4096,
         translation: bool = True,
         dataflow: str | None = None,
-        replay_mode: str | None = None,
         phase: str | None = None,
         serving: ServingParams | None = None,
     ) -> RunSpec:
@@ -682,7 +669,6 @@ class ExperimentRunner:
             page_bytes=page_bytes,
             translation=translation,
             dataflow=dataflow,
-            replay_mode=replay_mode,
             phase=phase,
             serving=serving,
         )
@@ -698,7 +684,6 @@ class ExperimentRunner:
         num_ptw_per_core: int | None = None,
         tlb_entries_per_core: int | None = None,
         dataflow: str | None = None,
-        replay_mode: str | None = None,
         phase: str | None = None,
         serving: ServingParams | None = None,
     ) -> RunSpec:
@@ -714,8 +699,6 @@ class ExperimentRunner:
             num_ptw_per_core=num_ptw_per_core,
             tlb_entries_per_core=tlb_entries_per_core,
             dataflow=dataflow if dataflow is not None else self.dataflow,
-            replay_mode=replay_mode if replay_mode is not None
-            else self.replay_mode,
             phase=phase,
             serving=serving,
         )

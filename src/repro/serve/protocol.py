@@ -39,7 +39,7 @@ from repro.experiments.spec import RunSpec
 
 #: Protocol identity, sent as the ``X-Repro-Protocol`` header both ways.
 #: Bump on breaking wire changes.
-PROTOCOL = "repro-serve/1"
+PROTOCOL = "repro-serve/2"
 
 #: Routes.
 RUN_PATH = "/v1/run"

@@ -26,7 +26,6 @@ class StubRunner:
 
     scale = "mini"
     dataflow = "os"
-    replay_mode = "event"
     phase = None
     serving = None
     plan_solo = ExperimentRunner.plan_solo

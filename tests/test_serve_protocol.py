@@ -112,6 +112,21 @@ class TestRequestFraming:
         with pytest.raises(ProtocolError, match="priority"):
             protocol.decode_request(json.dumps(body).encode())
 
+    def test_v1_replay_mode_payload_is_a_typed_400(self):
+        # repro-serve/1 clients put ``replay_mode`` on every spec; the
+        # field is gone, so their payloads must answer 400, never 500.
+        assert protocol.PROTOCOL == "repro-serve/2"
+        wire = protocol.spec_to_wire(RunSpec.solo("ncf"))
+        assert "replay_mode" not in wire
+        wire["replay_mode"] = "event"
+        raw = json.dumps({"spec": wire}).encode()
+        with pytest.raises(ProtocolError, match="replay_mode") as caught:
+            protocol.decode_request(raw)
+        status = protocol.error_status("protocol")
+        assert status == 400
+        envelope = protocol.encode_error("protocol", str(caught.value))
+        assert type(protocol.decode_error(status, envelope)) is ProtocolError
+
     def test_oversized_body_rejected(self):
         with pytest.raises(ProtocolError, match="exceeds"):
             protocol.decode_request(b" " * (protocol.MAX_BODY_BYTES + 1))
