@@ -33,7 +33,10 @@ Supervision (the fault-tolerance layer):
   + ``os.replace``) with a checksum sidecar; shards that fail validation
   on read (truncated JSON, descriptor/results-version mismatch, checksum
   mismatch) are quarantined to ``<cache_dir>/quarantine/`` with a logged
-  warning and transparently re-run.
+  warning and transparently re-run.  Each runner keeps the result sets
+  it has validated or written in a bounded per-instance memo
+  (:data:`RESULT_MEMO_ENTRIES`), so a sweep plus its reducers reads and
+  validates every shard from disk once, not once per lookup.
 * **Sweep journal** — every sweep appends to ``<cache_dir>/journal.jsonl``
   (one JSON object per line: submissions, completions, retries,
   failures, quarantines).  Because results are cache-first, re-running an
@@ -57,9 +60,11 @@ import logging
 import os
 import random
 import signal
+import threading
 import time
 import traceback as traceback_module
-from collections import deque
+import weakref
+from collections import OrderedDict, deque
 from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -150,6 +155,12 @@ JOURNAL_NAME = "journal.jsonl"
 
 #: Subdirectory of the result cache holding compiled-trace shards.
 TRACE_DIR_NAME = "traces"
+
+#: Result sets one runner keeps in memory after validating (or writing)
+#: their shards; past this the oldest entry is evicted and is re-read
+#: from disk on its next lookup.  Bounds the long-lived serve daemon's
+#: runner; a figure sweep's distinct specs fit many times over.
+RESULT_MEMO_ENTRIES = 4096
 
 #: Re-exported for back-compat; the constant lives with the presets now.
 MIX_STAGGER_CYCLES = presets.MIX_STAGGER_CYCLES
@@ -431,8 +442,13 @@ class ExperimentRunner:
             cache_dir = Path.cwd() / ".repro_cache"
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        # The store holds its quarantine callback weakly: with no runner
+        # <-> store reference cycle, a dropped runner and its result memo
+        # are freed at once instead of waiting for the cyclic collector.
+        quarantine_ref = weakref.WeakMethod(self._on_result_quarantine)
         self._result_store = ShardStore(
-            self.cache_dir, on_quarantine=self._on_result_quarantine
+            self.cache_dir,
+            on_quarantine=lambda name, reason: quarantine_ref()(name, reason),
         )
         self.trace_cache = trace_cache
         self.trace_dir = self.cache_dir / TRACE_DIR_NAME
@@ -449,6 +465,14 @@ class ExperimentRunner:
         self.runs_executed = 0
         self.cache_hits = 0
         self.quarantined = 0
+        # Planned spec -> validated results, oldest first (see _remember).
+        # Keyed by the frozen spec, not its cache_key: equal specs share
+        # a key, and reducers look up freshly built spec instances, so a
+        # lookup then costs a tuple hash instead of a JSON + sha256 pass.
+        self._result_memo: OrderedDict[RunSpec, list[dict[str, Any]]] = (
+            OrderedDict()
+        )
+        self._result_memo_lock = threading.Lock()
         #: Trace-cache counter deltas of the most recent planning pass.
         self.last_trace_stats: tracecache.TraceCacheStats | None = None
         #: Spec -> terminal failure record, from this runner's lifetime.
@@ -732,6 +756,19 @@ class ExperimentRunner:
         # and disk shards are byte-identical.
         payload = encode_result_shard(spec.descriptor(), results)
         self._result_store.write(self._shard_name(spec), payload)
+        self._remember(spec, results)
+
+    def _remember(self, spec: RunSpec, results: list[dict[str, Any]]) -> None:
+        """Memoize a validated or freshly written result set (FIFO-bounded).
+
+        Locked because the serve daemon probes the cache from request
+        threads while its dispatch thread runs batches on this runner.
+        """
+        with self._result_memo_lock:
+            memo = self._result_memo
+            memo[spec] = results
+            if len(memo) > RESULT_MEMO_ENTRIES:
+                memo.popitem(last=False)
 
     def _validate_shard(
         self, spec: RunSpec, raw: bytes
@@ -763,11 +800,20 @@ class ExperimentRunner:
         self._result_store.quarantine(path.name, reason)
 
     def _cached(self, spec: RunSpec) -> list[dict[str, Any]] | None:
-        results = self._result_store.read_validated(
-            self._shard_name(spec), lambda raw: self._validate_shard(spec, raw)
-        )
+        """Results for ``spec`` from the memo, else from a validated shard.
+
+        Only shards that passed :meth:`ShardStore.read_validated` (checksum
+        sidecar and descriptor) enter the memo; misses and quarantined
+        shards do not, so they are looked up on disk again next time.
+        """
+        results = self._result_memo.get(spec)
         if results is None:
-            return None
+            results = self._result_store.read_validated(
+                self._shard_name(spec), lambda raw: self._validate_shard(spec, raw)
+            )
+            if results is None:
+                return None
+            self._remember(spec, results)
         self.cache_hits += 1
         return results
 
@@ -836,7 +882,7 @@ class ExperimentRunner:
         Returns the counter deltas of this pass, or ``None`` when the
         cache is disabled.
         """
-        if not tracecache.is_enabled():
+        if not self.trace_cache:
             self.last_trace_stats = None
             return None
         cache = tracecache.process_cache()
@@ -973,7 +1019,6 @@ class ExperimentRunner:
         partially-failed sweep get a typed error, not a re-execution).
         """
         spec = self.plan(spec)
-        self._claim_trace_cache()
         with self._phase("cache_read"):
             cached = self._cached(spec)
         if cached is not None:
@@ -983,6 +1028,7 @@ class ExperimentRunner:
         failure = self.failures.get(spec)
         if failure is not None:
             raise RunFailedError(failure)
+        self._claim_trace_cache()
         try:
             with self._phase("execute"):
                 results = self._execute_with_retry(spec)
@@ -1036,7 +1082,6 @@ class ExperimentRunner:
         progress = progress if progress is not None else self.progress
         if run_timeout is _UNSET:
             run_timeout = self.run_timeout
-        self._claim_trace_cache()
         ordered = list(dict.fromkeys(self.plan(spec) for spec in specs))
         started = time.monotonic()
         results: dict[RunSpec, list[dict[str, Any]]] = {}
@@ -1064,7 +1109,10 @@ class ExperimentRunner:
             jobs=jobs,
         )
         # Compile phase: every distinct frontend of the cold runs is
-        # resolved once before any simulation executes.
+        # resolved once before any simulation executes.  Only cold work
+        # needs the process-level trace cache pointed at this runner.
+        if cold:
+            self._claim_trace_cache()
         with self._phase("compile"):
             self._precompile_frontends(cold)
 

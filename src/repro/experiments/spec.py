@@ -360,9 +360,19 @@ class RunSpec:
         return descriptor
 
     def cache_key(self) -> str:
-        """Stable content hash of the descriptor (the cache file stem)."""
-        payload = json.dumps(self.descriptor(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:24]
+        """Stable content hash of the descriptor (the cache file stem).
+
+        Computed once per instance.  The memo lives in the instance
+        ``__dict__``, outside the dataclass fields, so equality, hashing,
+        ``repr``, :meth:`descriptor` and ``dataclasses.replace`` (which
+        builds a fresh instance) never see it.
+        """
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            payload = json.dumps(self.descriptor(), sort_keys=True)
+            key = hashlib.sha256(payload.encode()).hexdigest()[:24]
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     def frontends(self) -> tuple[tuple[str, ArchConfig], ...]:
         """The compile units of this run: one (workload, arch) per core.
