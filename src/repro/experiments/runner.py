@@ -47,9 +47,9 @@ Workers rebuild the whole simulation from the spec alone (plus the
 pickled network topologies), so parallel, serial, and retried execution
 produce byte-identical cache files and results.
 
-The kwarg-form ``solo()`` / ``ideal()`` / ``static_equal()`` / ``mix()``
-methods remain as thin wrappers that build a :class:`RunSpec` internally;
-new code should plan specs and call :meth:`run_many`.
+A single run is ``runner.run(runner.plan_solo(...))`` (or ``plan_ideal``
+/ ``plan_static_equal`` / ``plan_mix``); a figure plans all of its specs
+and executes them in one :meth:`~ExperimentRunner.run_many` batch.
 """
 
 from __future__ import annotations
@@ -75,13 +75,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.compute import tracecache
 from repro.config import presets
 from repro.obs.profiling import PhaseProfiler
-from repro.storage import (
-    QUARANTINE_DIR,
-    ShardStore,
-    atomic_write_bytes,
-    checksum_path,
-    encode_result_shard,
-)
+from repro.storage import QUARANTINE_DIR, ShardStore, encode_result_shard
 from repro.core.sharing import SharingLevel
 from repro.core.simulator import (
     DEFAULT_STALL_WINDOW_TICKS,
@@ -110,7 +104,6 @@ __all__ = [
     "DEFAULT_MAX_TICKS",
     "DEFAULT_MAX_ATTEMPTS",
     "DEFAULT_RETRY_BACKOFF",
-    "MIX_STAGGER_CYCLES",
     "QUARANTINE_DIR",
     "RESULTS_VERSION",
     "ExperimentRunner",
@@ -161,9 +154,6 @@ TRACE_DIR_NAME = "traces"
 #: from disk on its next lookup.  Bounds the long-lived serve daemon's
 #: runner; a figure sweep's distinct specs fit many times over.
 RESULT_MEMO_ENTRIES = 4096
-
-#: Re-exported for back-compat; the constant lives with the presets now.
-MIX_STAGGER_CYCLES = presets.MIX_STAGGER_CYCLES
 
 #: Sentinel distinguishing "argument omitted" from an explicit ``None``
 #: for per-call overrides of runner-level defaults (``run_timeout``).
@@ -580,18 +570,7 @@ class ExperimentRunner:
         per-core share (the equal Static split).  Specs planned here are
         safe to hand to :meth:`run` / :meth:`run_many` or to hash.
         """
-        if spec.kind == "solo" and not spec.is_resolved:
-            per_core = presets.per_core_resources(spec.scale)
-            spec = dataclasses.replace(
-                spec,
-                channels=spec.channels if spec.channels is not None
-                else per_core["channels"],
-                num_ptw=spec.num_ptw if spec.num_ptw is not None
-                else per_core["num_ptw"],
-                tlb_entries=spec.tlb_entries if spec.tlb_entries is not None
-                else per_core["tlb_entries"],
-            )
-        return spec
+        return spec.resolve()
 
     def _plan_serving(
         self,
@@ -608,6 +587,8 @@ class ExperimentRunner:
         and therefore an error).  So the defaults bind exactly when the
         workload list can use them, and stay off otherwise.
         """
+        if self.phase is None and self.serving is None:
+            return phase, serving
         bare_base = any(
             name in serving_module.SERVING_BASES for name in workloads
         )
@@ -741,14 +722,6 @@ class ExperimentRunner:
     def _cache_path(self, spec: RunSpec) -> Path:
         return self._result_store.path(self._shard_name(spec))
 
-    @staticmethod
-    def _checksum_path(path: Path) -> Path:
-        return checksum_path(path)
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        atomic_write_bytes(path, data)
-
     def _store(self, spec: RunSpec, results: list[dict[str, Any]]) -> None:
         # The shard byte format is pinned by the golden-equivalence suite;
         # integrity metadata therefore lives in a sidecar, not the shard.
@@ -794,10 +767,6 @@ class ExperimentRunner:
                 )
             return None, "descriptor does not match spec"
         return payload["results"], None
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt shard (and its sidecar) out of the cache."""
-        self._result_store.quarantine(path.name, reason)
 
     def _cached(self, spec: RunSpec) -> list[dict[str, Any]] | None:
         """Results for ``spec`` from the memo, else from a validated shard.
@@ -1387,100 +1356,3 @@ class ExperimentRunner:
         else:
             if not self.keep_pool:
                 self._discard_pool(pool)
-
-    # ------------------------------------------------------------------ #
-    # Back-compat kwarg API (thin wrappers over RunSpec)
-    # ------------------------------------------------------------------ #
-
-    def solo(
-        self,
-        workload: str,
-        *,
-        channels: int | None = None,
-        num_ptw: int | None = None,
-        tlb_entries: int | None = None,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        dataflow: str | None = None,
-    ) -> dict[str, Any]:
-        """One workload alone on an explicit resource slice.
-
-        Deprecated kwarg form; equivalent to ``run(plan_solo(...))[0]``.
-        """
-        return self.run(
-            self.plan_solo(
-                workload,
-                channels=channels,
-                num_ptw=num_ptw,
-                tlb_entries=tlb_entries,
-                page_bytes=page_bytes,
-                translation=translation,
-                dataflow=dataflow,
-            )
-        )[0]
-
-    def ideal(
-        self,
-        workload: str,
-        num_cores: int,
-        *,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        dataflow: str | None = None,
-    ) -> dict[str, Any]:
-        """The Ideal baseline: alone with the whole N-core resource pool."""
-        return self.run(
-            self.plan_ideal(
-                workload,
-                num_cores,
-                page_bytes=page_bytes,
-                translation=translation,
-                dataflow=dataflow,
-            )
-        )[0]
-
-    def static_equal(
-        self,
-        workload: str,
-        *,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        dataflow: str | None = None,
-    ) -> dict[str, Any]:
-        """The equal Static split: exactly one per-core resource share."""
-        return self.solo(
-            workload,
-            page_bytes=page_bytes,
-            translation=translation,
-            dataflow=dataflow,
-        )
-
-    def mix(
-        self,
-        names: Sequence[str],
-        sharing: SharingLevel,
-        *,
-        page_bytes: int = 4096,
-        translation: bool = True,
-        ptw_split: Sequence[int] | None = None,
-        num_ptw_per_core: int | None = None,
-        tlb_entries_per_core: int | None = None,
-        dataflow: str | None = None,
-    ) -> list[dict[str, Any]]:
-        """Co-simulate ``names`` under a dynamic sharing level.
-
-        Deprecated kwarg form; equivalent to ``run(plan_mix(...))``.  See
-        :meth:`plan_mix` for the walker-partitioning overrides.
-        """
-        return self.run(
-            self.plan_mix(
-                names,
-                sharing,
-                page_bytes=page_bytes,
-                translation=translation,
-                ptw_split=ptw_split,
-                num_ptw_per_core=num_ptw_per_core,
-                tlb_entries_per_core=tlb_entries_per_core,
-                dataflow=dataflow,
-            )
-        )

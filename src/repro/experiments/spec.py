@@ -186,6 +186,13 @@ class RunSpec:
     ) -> "RunSpec":
         """One workload alone on a resource slice (defaults: one per-core
         Table 2 share, i.e. the equal Static split)."""
+        # Resolved before construction: one validated instance per spec.
+        if None in (channels, num_ptw, tlb_entries):
+            per_core = presets.per_core_resources(scale)
+            channels = per_core["channels"] if channels is None else channels
+            num_ptw = per_core["num_ptw"] if num_ptw is None else num_ptw
+            if tlb_entries is None:
+                tlb_entries = per_core["tlb_entries"]
         return cls(
             kind="solo",
             workloads=(workload,),
@@ -198,7 +205,7 @@ class RunSpec:
             dataflow=dataflow,
             phase=phase,
             serving=serving,
-        ).resolve()
+        )
 
     @classmethod
     def ideal(

@@ -80,7 +80,7 @@ class MappingStudy:
         # Simulated slowdown of each workload within each type pair.
         self.pair_slowdowns: dict[tuple[str, str], tuple[float, float]] = {}
         for mix in all_mixes(2):
-            results = runner.mix(mix, SharingLevel.DWT)
+            results = runner.run(runner.plan_mix(mix, SharingLevel.DWT))
             self.pair_slowdowns[mix] = tuple(
                 result["cycles"] / self.profiles[name].ideal_cycles
                 for name, result in zip(mix, results)

@@ -44,7 +44,7 @@ def profile_workload(
     runner.register_network(network)
     arch = presets.cloud_arch(runner.scale)
     summary = RequestGenerator(network, arch).summary()
-    ideal = runner.ideal(network.name, num_cores)
+    (ideal,) = runner.run(runner.plan_ideal(network.name, num_cores))
     return WorkloadProfile(
         name=network.name,
         pe_utilization=summary["pe_utilization"],
@@ -102,8 +102,8 @@ class SlowdownPredictor:
         targets: list[float] = []
         for i, left in enumerate(networks):
             for right in networks[i:]:
-                results = runner.mix(
-                    (left.name, right.name), SharingLevel.DWT
+                results = runner.run(
+                    runner.plan_mix((left.name, right.name), SharingLevel.DWT)
                 )
                 pair = (left.name, right.name)
                 for name, result in zip(pair, results):

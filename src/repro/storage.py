@@ -84,6 +84,9 @@ class ShardStore:
     ) -> None:
         self.directory = Path(directory)
         self.on_quarantine = on_quarantine
+        # Reads join plain strings: on a warm sweep, building Path objects
+        # costs more than the read itself.
+        self._prefix = os.path.join(self.directory, "")
 
     # ------------------------------------------------------------------ #
 
@@ -106,21 +109,6 @@ class ShardStore:
         )
         return path
 
-    def read_bytes(self, name: str) -> bytes | None:
-        """Raw shard bytes, or ``None`` when the shard does not exist."""
-        try:
-            return self.path(name).read_bytes()
-        except OSError:
-            return None
-
-    def checksum_ok(self, name: str, raw: bytes) -> bool:
-        """True when the sidecar is absent (legacy shard) or matches."""
-        try:
-            expected = checksum_path(self.path(name)).read_text("ascii").strip()
-        except OSError:
-            return True  # sidecar optional: pre-existing caches lack it
-        return not expected or expected == hashlib.sha256(raw).hexdigest()
-
     def read_validated(
         self,
         name: str,
@@ -131,16 +119,26 @@ class ShardStore:
         ``validate(raw)`` returns ``(value, None)`` for a sound shard or
         ``(None, reason)`` otherwise; the checksum sidecar is verified
         only for semantically-valid shards (mirroring the historical
-        runner behaviour, so quarantine reasons stay stable).  Returns
-        the validated value, or ``None`` when the shard is absent or was
-        quarantined.
+        runner behaviour, so quarantine reasons stay stable).  An absent
+        or empty sidecar passes: caches written before sidecars existed
+        lack them.  Returns the validated value, or ``None`` when the
+        shard is absent or was quarantined.
         """
-        raw = self.read_bytes(name)
-        if raw is None:
+        path = self._prefix + name
+        try:
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        except OSError:
             return None
         value, reason = validate(raw)
-        if value is not None and not self.checksum_ok(name, raw):
-            value, reason = None, "payload checksum mismatch"
+        if value is not None:
+            try:
+                with open(path + ".sum", "rb") as handle:
+                    expected = handle.read().strip()
+            except OSError:
+                expected = b""
+            if expected and expected != hashlib.sha256(raw).hexdigest().encode():
+                value, reason = None, "payload checksum mismatch"
         if value is None:
             self.quarantine(name, reason or "unknown corruption")
             return None

@@ -104,7 +104,7 @@ class TestMixCommand:
             int(line.split()[2]) for line in out.splitlines() if "cycles" in line
         ]
         runner = ExperimentRunner(cache_dir=tmp_path)
-        results = runner.mix(("ncf", "ncf"), SharingLevel.DW)
+        results = runner.run(runner.plan_mix(("ncf", "ncf"), SharingLevel.DW))
         assert cli_cycles == [result["cycles"] for result in results]
 
     def test_uncontended_sharing_rejected(self):

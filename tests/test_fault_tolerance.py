@@ -19,6 +19,7 @@ from repro.experiments import faults, figures
 from repro.experiments.report import format_failures
 from repro.experiments.runner import ExperimentRunner, JOURNAL_NAME, QUARANTINE_DIR
 from repro.models.layers import DenseLayer, Network
+from repro.storage import atomic_write_bytes, checksum_path
 
 from tests.test_figures_reduction import StubRunner
 
@@ -80,7 +81,7 @@ class TestCacheQuarantine:
         first = _make_runner(cache)
         (spec,) = _specs(first, ["a"])
         expected = first.run(spec)
-        first._checksum_path(first._cache_path(spec)).unlink()
+        checksum_path(first._cache_path(spec)).unlink()
 
         fresh = _make_runner(cache)
         assert fresh.run(spec) == expected
@@ -96,7 +97,7 @@ class TestCacheQuarantine:
 def _hammer_writes(path_str, payload, count):
     path = Path(path_str)
     for _ in range(count):
-        ExperimentRunner._atomic_write(path, payload)
+        atomic_write_bytes(path, payload)
 
 
 def _sweep_in_child(cache_dir, names):
@@ -337,20 +338,20 @@ class _DegradedRunner(StubRunner):
             )
         }
 
-    def mix(self, names, sharing, **kwargs):
-        if tuple(names) == self.bad:
-            raise RunFailedError(next(iter(self.failures.values())))
-        return super().mix(names, sharing, **kwargs)
+    def run_many(self, specs, jobs=None, progress=None):
+        # Failed specs are absent from a batch's results.
+        return {
+            spec: results
+            for spec, results in super().run_many(specs).items()
+            if not (spec.kind == "mix" and spec.workloads == self.bad)
+        }
 
 
 class TestFigureDegradation:
     def test_mix_speedups_empty_for_failed_mix(self):
         runner = _DegradedRunner()
-        ideal = {name: runner.ideal(name, 2)["cycles"] for name in ("res", "yt")}
-        static = {name: runner.static_equal(name)["cycles"] for name in ("res", "yt")}
-        assert figures.mix_speedups(
-            runner, ("res", "yt"), SharingLevel.DWT, ideal, static
-        ) == []
+        data = figures.fig4_dual_performance(runner, [("res", "yt")])
+        assert data["sweep"]["speedups"]["res+yt"]["+DWT"] == []
 
     def test_fig4_marks_failed_mix_missing_not_fatal(self):
         runner = _DegradedRunner()

@@ -20,8 +20,7 @@ class StubRunner:
 
     Planning is pure spec construction, so the stub borrows the real
     runner's ``plan_*`` methods and stubs only the execution side:
-    ``run_many`` (the figures' prefetch hook) is a no-op and ``solo`` /
-    ``mix`` answer directly with synthetic cycles.
+    ``run_many`` answers every planned spec with synthetic cycles.
     """
 
     scale = "mini"
@@ -36,17 +35,21 @@ class StubRunner:
 
     def __init__(self):
         self.per_core = {"channels": 4, "num_ptw": 1, "tlb_entries": 64}
+        self.failures = {}
         self._base = {
             name: 1000 * (index + 1) for index, name in enumerate(zoo.NAMES)
         }
 
     def run_many(self, specs, jobs=None, progress=None):
-        list(specs)  # planners must at least produce valid specs
-        return {}
+        return {spec: self.results(spec) for spec in specs}
+
+    def results(self, spec):
+        if spec.kind == "solo":
+            return [self.solo_cycles(spec.workloads[0], spec.channels, spec.page_bytes)]
+        return self.mix_cycles(spec)
 
     # -- solo ---------------------------------------------------------- #
-    def solo(self, workload, *, channels=4, num_ptw=None, tlb_entries=None,
-             page_bytes=4096, translation=True):
+    def solo_cycles(self, workload, channels=4, page_bytes=4096):
         base = self._base[workload]
         # More channels help sub-linearly; bigger pages shave 10%.
         factor = 1.0 + 4.0 / channels
@@ -54,37 +57,31 @@ class StubRunner:
             factor *= 0.9
         return {"cycles": int(base * factor)}
 
-    def ideal(self, workload, num_cores, *, page_bytes=4096, translation=True):
-        return self.solo(
-            workload, channels=4 * num_cores, page_bytes=page_bytes,
-            translation=translation,
-        )
+    def ideal_cycles(self, workload, num_cores):
+        return self.solo_cycles(workload, channels=4 * num_cores)["cycles"]
 
-    def static_equal(self, workload, *, page_bytes=4096, translation=True):
-        return self.solo(
-            workload, page_bytes=page_bytes, translation=translation
-        )
+    def static_cycles(self, workload):
+        return self.solo_cycles(workload)["cycles"]
 
     # -- mix ------------------------------------------------------------ #
-    def mix(self, names, sharing, *, page_bytes=4096, translation=True,
-            ptw_split=None, num_ptw_per_core=None, tlb_entries_per_core=None):
+    def mix_cycles(self, spec):
         # Sharing recovers a fixed fraction of the static loss; walker
         # splits skew the two cores.
         recover = {
             SharingLevel.D: 0.5,
             SharingLevel.DW: 0.75,
             SharingLevel.DWT: 0.80,
-        }[sharing]
+        }[spec.sharing_level]
         results = []
-        for index, name in enumerate(names):
-            ideal = self.ideal(name, len(names))["cycles"]
-            static = self.static_equal(name)["cycles"]
+        for index, name in enumerate(spec.workloads):
+            ideal = self.ideal_cycles(name, len(spec.workloads))
+            static = self.static_cycles(name)
             cycles = static - recover * (static - ideal)
-            if ptw_split is not None:
-                total = sum(ptw_split)
-                share = ptw_split[index] / total
+            if spec.ptw_split is not None:
+                total = sum(spec.ptw_split)
+                share = spec.ptw_split[index] / total
                 cycles *= 1.0 + max(0.0, 0.5 - share)  # starved side slows
-            if page_bytes > 4096:
+            if spec.page_bytes > 4096:
                 cycles *= 0.92
             results.append({"cycles": int(cycles), "workload": name})
         return results
@@ -155,12 +152,11 @@ class TestPtwPartitionReduction:
 
 class TestMixSpeedupsHelper:
     def test_static_level_uses_solo_results(self, runner):
-        ideal = {n: runner.ideal(n, 2)["cycles"] for n in zoo.NAMES}
-        static = {n: runner.static_equal(n)["cycles"] for n in zoo.NAMES}
-        speeds = figures.mix_speedups(
-            runner, ("res", "yt"), SharingLevel.STATIC, ideal, static
-        )
-        assert speeds[0] == pytest.approx(ideal["res"] / static["res"])
+        data = figures.fig4_dual_performance(runner, [("res", "yt")])
+        speeds = data["sweep"]["speedups"]["res+yt"]["Static"]
+        ideal = runner.ideal_cycles("res", 2)
+        static = runner.static_cycles("res")
+        assert speeds[0] == pytest.approx(ideal / static)
 
     def test_geomean_of_speedups_matches_manual(self, runner):
         data = figures.fig4_dual_performance(runner, [("res", "yt")])
