@@ -21,11 +21,23 @@ Quickstart::
     print(result.cycles_per_core)
 """
 
-from repro.core.metrics import fairness, geomean, slowdown, speedup
-from repro.core.sharing import SharingLevel
-from repro.core.simulator import MixResult, MultiCoreNPUSim, WorkloadResult
-from repro.config import presets
-from repro.models import zoo
+from importlib import import_module
+
+#: Quickstart name -> the module it is read from.  Each resolves on first
+#: access (PEP 562), so ``import repro.experiments`` loads only the
+#: planning layer and never the simulator stack.
+_LAZY = {
+    "MultiCoreNPUSim": "repro.core.simulator",
+    "MixResult": "repro.core.simulator",
+    "WorkloadResult": "repro.core.simulator",
+    "SharingLevel": "repro.core.sharing",
+    "speedup": "repro.core.metrics",
+    "slowdown": "repro.core.metrics",
+    "geomean": "repro.core.metrics",
+    "fairness": "repro.core.metrics",
+    "presets": "repro.config",
+    "zoo": "repro.models",
+}
 
 __version__ = "1.0.0"
 
@@ -42,3 +54,12 @@ __all__ = [
     "fairness",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value

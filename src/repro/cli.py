@@ -27,30 +27,31 @@ import signal
 import sys
 import threading
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.compute import tracecache
 from repro.compute.dataflow import registered_dataflows
-from repro.compute.requestgen import RequestGenerator
 from repro.config import (
     load_arch_config,
     load_dram_config,
     load_misc_config,
     load_npumem_config,
 )
+from repro.config.misc import DEFAULT_STALL_WINDOW_TICKS
 from repro.config.system import SystemConfig
 from repro.core.sharing import SharingLevel
-from repro.core.simulator import (
-    DEFAULT_STALL_WINDOW_TICKS,
-    MixResult,
-    MultiCoreNPUSim,
-)
 from repro.errors import SimulationStallError
 from repro.experiments.runner import DEFAULT_MAX_TICKS
 from repro.experiments.spec import RunSpec
 from repro.models import zoo
 from repro.models import serving as serving_models
 from repro.models.serving import ServingParams
-from repro.obs import format_profile, format_tree, human_bytes
+from repro.obs.profiling import format_profile, human_bytes
+
+# The simulator stack (simulator, trace cache, request generator, counter
+# registry) is imported inside the subcommands that simulate, so --help,
+# `figure` and a warm `sweep` load only the planning layer.
+if TYPE_CHECKING:
+    from repro.core.simulator import MixResult, MultiCoreNPUSim
 
 #: Workload names the mix-shaped subcommands accept: the benchmark zoo
 #: plus the qualified LLM-serving shapes (``gpt2:prefill``/``gpt2:decode``).
@@ -73,6 +74,8 @@ def _write_results(
     result: MixResult, system: SystemConfig, out_dir: Path, networks
 ) -> None:
     """Write artifact-style per-core result files plus a JSON summary."""
+    from repro.compute.requestgen import RequestGenerator
+
     result_dir = out_dir / "result"
     result_dir.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -134,8 +137,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         network_names, args.scale,
         params=_serving_params(args), default_phase=args.phase,
     )
-    tracecache.configure(enabled=not args.no_trace_cache)
-    sim = MultiCoreNPUSim(
+    sim = _make_sim(
+        args,
         system,
         networks,
         trace_requests=args.trace,
@@ -152,6 +155,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"PE util {workload.pe_utilization:.3f}"
         )
     return 0
+
+
+def _make_sim(
+    args: argparse.Namespace, system, networks, **options
+) -> MultiCoreNPUSim:
+    """A simulator for a runner-less subcommand, honouring --no-trace-cache."""
+    from repro.compute import tracecache
+    from repro.core.simulator import MultiCoreNPUSim
+
+    tracecache.configure(enabled=not args.no_trace_cache)
+    return MultiCoreNPUSim(system, networks, **options)
 
 
 def _run_sim(sim: MultiCoreNPUSim, max_ticks: int) -> MixResult:
@@ -191,8 +205,7 @@ def _cmd_mix(args: argparse.Namespace) -> int:
     networks = _serving_networks(
         names, args.scale, params=spec.serving, default_phase=spec.phase
     )
-    tracecache.configure(enabled=not args.no_trace_cache)
-    sim = MultiCoreNPUSim(system, networks, stall_window_ticks=args.stall_window)
+    sim = _make_sim(args, system, networks, stall_window_ticks=args.stall_window)
     result = _run_sim(sim, args.max_ticks)
     for workload in result.workloads:
         print(
@@ -272,6 +285,14 @@ def _figure_producers(runner, dual, quad):
     """``figure name -> callable`` printing-ready headline reductions."""
     from repro.experiments import figures
 
+    def fig16():
+        data = figures.fig16_pagesize_multi(runner, 2, dual)
+        return {
+            f"{metric} {label}": value
+            for metric in ("performance", "fairness")
+            for label, value in data[f"overall_{metric}"].items()
+        }
+
     return {
         "fig4": lambda: figures.fig4_dual_performance(runner, dual)["overall"],
         "fig5": lambda: figures.fig5_quad_performance(runner, quad)["overall"],
@@ -294,6 +315,7 @@ def _figure_producers(runner, dual, quad):
         ],
         "fig14": lambda: figures.fig14_ptw_partition_fairness(runner, dual)["overall"],
         "fig15": lambda: figures.fig15_pagesize_single(runner)["overall"],
+        "fig16": fig16,
         "dataflow_compare": lambda: figures.dataflow_compare(runner)["overall"],
         "serving_colocation": lambda: figures.serving_colocation(runner)["overall"],
     }
@@ -706,8 +728,8 @@ def _run_observed(args: argparse.Namespace):
     networks = _serving_networks(
         args.workloads, args.scale, params=spec.serving, default_phase=spec.phase
     )
-    tracecache.configure(enabled=not args.no_trace_cache)
-    sim = MultiCoreNPUSim(
+    sim = _make_sim(
+        args,
         spec.system(),
         networks,
         observe=True,
@@ -719,6 +741,8 @@ def _run_observed(args: argparse.Namespace):
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run a mix with observability on and render the counter tree."""
+    from repro.obs.registry import format_tree
+
     sim, result = _run_observed(args)
     snapshot = result.counters
     assert snapshot is not None  # observe=True guarantees a registry
@@ -733,6 +757,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_profile_run(args: argparse.Namespace) -> int:
     """One observed run: counter tree, span summary, Perfetto export."""
+    from repro.obs.registry import format_tree
+
     sim, result = _run_observed(args)
     for workload in result.workloads:
         print(
@@ -875,7 +901,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     figure.add_argument(
         "name",
-        help="fig4, fig5, ..., fig15, dataflow_compare or serving_colocation",
+        help="fig4, fig5, ..., fig16, dataflow_compare or serving_colocation",
     )
     _add_sweep_options(figure)
     figure.set_defaults(func=_cmd_figure)

@@ -51,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +63,7 @@ from repro.compute.systolic import ComputeEstimate
 from repro.compute.tiling import Tile
 from repro.config.arch import ArchConfig
 from repro.models.layers import Network
+from repro.obs.profiling import TraceCacheStats
 from repro.storage import ShardStore
 
 try:  # blake2b is the fastest stdlib hash for short payloads
@@ -373,57 +375,6 @@ def decode_trace(
 # ---------------------------------------------------------------------- #
 
 
-@dataclass
-class TraceCacheStats:
-    """Counters of one :class:`TraceCache` (monotonic over its lifetime)."""
-
-    memo_hits: int = 0
-    disk_hits: int = 0
-    compiles: int = 0
-    oversize: int = 0
-    quarantined: int = 0
-
-    @property
-    def requests(self) -> int:
-        """Total ``get`` calls resolved."""
-        return self.memo_hits + self.disk_hits + self.compiles + self.oversize
-
-    @property
-    def hits(self) -> int:
-        """Requests served without a (re)compile."""
-        return self.memo_hits + self.disk_hits
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests served from memo or disk."""
-        return self.hits / self.requests if self.requests else 0.0
-
-    def snapshot(self) -> "TraceCacheStats":
-        return dataclasses.replace(self)
-
-    def since(self, earlier: "TraceCacheStats") -> "TraceCacheStats":
-        """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return TraceCacheStats(
-            memo_hits=self.memo_hits - earlier.memo_hits,
-            disk_hits=self.disk_hits - earlier.disk_hits,
-            compiles=self.compiles - earlier.compiles,
-            oversize=self.oversize - earlier.oversize,
-            quarantined=self.quarantined - earlier.quarantined,
-        )
-
-    def summary(self) -> dict[str, float]:
-        """JSON-friendly rendering (journal / bench / CLI one-liners)."""
-        return {
-            "requests": self.requests,
-            "memo_hits": self.memo_hits,
-            "disk_hits": self.disk_hits,
-            "compiles": self.compiles,
-            "oversize": self.oversize,
-            "quarantined": self.quarantined,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
 class TraceCache:
     """Two-level (memo + disk) cache of :class:`CompiledTrace` artifacts.
 
@@ -585,6 +536,14 @@ def configure(
     if enabled is not None:
         _process_enabled = enabled
     return _process_cache
+
+
+# An ExperimentRunner built before this module loaded could not configure
+# it (the planning layer never imports it); adopt the newest one's settings.
+_runner = sys.modules.get("repro.experiments.runner")
+if _runner is not None and _runner.deferred_trace_settings is not None:
+    configure(**_runner.deferred_trace_settings)
+del _runner
 
 
 def trace_source(

@@ -9,6 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Default stall-watchdog window in global ticks.  A healthy simulation
+#: retires a tile every few thousand ticks even under heavy contention,
+#: so a window this wide never fires on legitimate runs yet catches a
+#: livelock ~5000x earlier than the runner's 50-billion-tick ceiling.
+DEFAULT_STALL_WINDOW_TICKS = 10_000_000
+
 
 @dataclass(frozen=True)
 class MiscConfig:

@@ -1,18 +1,1 @@
 """The multi-core NPU simulator core: engine, cores, sharing, metrics."""
-
-from repro.core.engine import Engine
-from repro.core.clock import ClockDomain
-from repro.core.sharing import SharingLevel, SWEEP_LEVELS, CONTENDED_LEVELS
-from repro.core.metrics import fairness, geomean, slowdown, speedup
-
-__all__ = [
-    "Engine",
-    "ClockDomain",
-    "SharingLevel",
-    "SWEEP_LEVELS",
-    "CONTENDED_LEVELS",
-    "fairness",
-    "geomean",
-    "slowdown",
-    "speedup",
-]

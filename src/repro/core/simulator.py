@@ -34,13 +34,6 @@ from repro.mmu.pagetable import PageTable, PhysicalLayout
 from repro.mmu.ptw import WalkerPool
 from repro.models.layers import Network
 
-#: Default stall-watchdog window in global ticks.  A healthy simulation
-#: retires a tile every few thousand ticks even under heavy contention,
-#: so a window this wide never fires on legitimate runs yet catches a
-#: livelock ~5000x earlier than the runner's 50-billion-tick ceiling.
-DEFAULT_STALL_WINDOW_TICKS = 10_000_000
-
-
 @dataclass(frozen=True)
 class WorkloadResult:
     """Outcome of one workload on one core (first iteration)."""

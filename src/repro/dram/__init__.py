@@ -1,14 +1,1 @@
 """Event-driven DRAM model (the DRAMsim3 substitute — see DESIGN.md)."""
-
-from repro.dram.controller import DramController, DramRequest
-from repro.dram.channel import Bank, Channel
-from repro.dram.stats import BandwidthTrace, DramStats
-
-__all__ = [
-    "DramController",
-    "DramRequest",
-    "Channel",
-    "Bank",
-    "DramStats",
-    "BandwidthTrace",
-]

@@ -48,12 +48,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, NamedTuple, Sequence
 
-from repro.compute.dataflow import registered_dataflows
 from repro.config import presets
 from repro.config.misc import MiscConfig
 from repro.core.metrics import box_stats, cdf_points, fairness, geomean
 from repro.core.sharing import CONTENDED_LEVELS, SWEEP_LEVELS, SharingLevel
-from repro.core.simulator import MultiCoreNPUSim
 from repro.experiments.mixes import all_mixes, mix_label
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.spec import RunSpec
@@ -237,6 +235,8 @@ def fig2_burstiness(
     window: int = 1000,
 ) -> dict[str, Any]:
     """Moving count of DRAM requests per window for a single-core run."""
+    from repro.core.simulator import MultiCoreNPUSim
+
     system = presets.solo_slice(
         scale=scale, misc=MiscConfig(iterations=1, trace_window_cycles=window)
     )
@@ -527,6 +527,8 @@ def fig12_bandwidth_utilization(
     summed series shows how often the combined demand exceeds half (and
     even all) of the peak — the paper's argument for dynamic sharing.
     """
+    from repro.core.simulator import MultiCoreNPUSim
+
     per = presets.per_core_resources(scale)
     series: dict[str, list[tuple[int, float]]] = {}
     for name in workloads:
@@ -766,11 +768,12 @@ def fig16_pagesize_multi(
 def _dataflow_axes(
     workloads: Sequence[str] | None, dataflows: Sequence[str] | None
 ) -> tuple[list[str], list[str]]:
+    if dataflows is None:
+        from repro.compute.dataflow import registered_dataflows
+
+        dataflows = registered_dataflows()
     names = list(workloads) if workloads is not None else list(zoo.NAMES)
-    engines = (
-        list(dataflows) if dataflows is not None else list(registered_dataflows())
-    )
-    return names, engines
+    return names, list(dataflows)
 
 
 def plan_dataflow_compare(

@@ -60,28 +60,22 @@ import logging
 import os
 import random
 import signal
+import sys
 import threading
 import time
 import traceback as traceback_module
 import weakref
 from collections import OrderedDict, deque
 from contextlib import nullcontext
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.compute import tracecache
 from repro.config import presets
-from repro.obs.profiling import PhaseProfiler
+from repro.config.misc import DEFAULT_STALL_WINDOW_TICKS
+from repro.obs.profiling import PhaseProfiler, TraceCacheStats
 from repro.storage import QUARANTINE_DIR, ShardStore, encode_result_shard
 from repro.core.sharing import SharingLevel
-from repro.core.simulator import (
-    DEFAULT_STALL_WINDOW_TICKS,
-    MultiCoreNPUSim,
-    WorkloadResult,
-)
 from repro.errors import (
     RunFailedError,
     RunFailure,
@@ -90,7 +84,6 @@ from repro.errors import (
     SweepOutcome,
     TransientWorkerError,
 )
-from repro.experiments import faults as faults_module
 from repro.experiments.spec import (
     DEFAULT_DATAFLOW,
     RESULTS_VERSION,
@@ -99,6 +92,14 @@ from repro.experiments.spec import (
 from repro.models import serving as serving_module
 from repro.models import zoo
 from repro.models.serving import ServingParams
+
+# The execution layer is imported where cold work begins, never at module
+# level: see "Import layers" in DESIGN.md.
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    from repro.core.simulator import WorkloadResult
+    from repro.experiments.faults import Fault, FaultPlan
 
 __all__ = [
     "DEFAULT_MAX_TICKS",
@@ -160,14 +161,38 @@ RESULT_MEMO_ENTRIES = 4096
 _UNSET: Any = object()
 
 
-def _configure_worker_trace_cache(directory: str | None, enabled: bool) -> None:
-    """Pool initializer: point each worker at the shared trace store.
+#: Trace-cache settings of the newest runner built while
+#: :mod:`repro.compute.tracecache` was not loaded yet.  That module adopts
+#: them when it loads, so every reader of the process trace cache sees
+#: what an eager ``configure`` in the constructor would have set.
+deferred_trace_settings: dict[str, Any] | None = None
 
-    Under the default ``fork`` start method workers additionally inherit
-    the parent's warmed in-process memo, so they rarely touch the disk
-    level at all; under ``spawn``/``forkserver`` they load the shards the
-    parent published during planning instead of recompiling.
+
+def _configure_trace_cache(directory: Path, enabled: bool) -> None:
+    """``tracecache.configure`` now if loaded, else when it loads."""
+    global deferred_trace_settings
+    tracecache = sys.modules.get("repro.compute.tracecache")
+    if tracecache is None:
+        deferred_trace_settings = {"directory": directory, "enabled": enabled}
+    else:
+        tracecache.configure(directory=directory, enabled=enabled)
+
+
+def _init_worker(directory: str | None, enabled: bool) -> None:
+    """Pool initializer: own signal handling, the shared trace store.
+
+    A fork inherits the parent's handlers, e.g. the CLI's SIGTERM ->
+    KeyboardInterrupt, which made :func:`_terminate_pool` print a
+    traceback per worker.  Workers die on SIGTERM and ignore SIGINT (a
+    Ctrl-C reaches the whole process group): the parent alone unwinds an
+    interrupt, then tears the pool down.  Fork workers also inherit the
+    parent's warmed trace memo; under ``spawn``/``forkserver`` they load
+    the shards the parent published during planning instead.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    from repro.compute import tracecache
+
     tracecache.configure(
         directory=Path(directory) if directory else None, enabled=enabled
     )
@@ -192,6 +217,8 @@ def _execute_spec(
     reconstruct the simulator purely from the spec plus the network
     topologies, so results cannot depend on parent-process state.
     """
+    from repro.core.simulator import MultiCoreNPUSim
+
     sim = MultiCoreNPUSim(
         spec.system(), list(networks), stall_window_ticks=stall_window
     )
@@ -207,7 +234,7 @@ def _supervised_execute(
     stall_window: int | None = None,
     timeout: float | None = None,
     attempt: int = 1,
-    fault: "faults_module.Fault | None" = None,
+    fault: Fault | None = None,
     in_pool: bool = False,
 ) -> list[dict[str, Any]]:
     """The supervised worker entry point: fault hook + wall-clock budget.
@@ -220,6 +247,8 @@ def _supervised_execute(
     """
     def execute() -> list[dict[str, Any]]:
         if fault is not None:
+            from repro.experiments import faults as faults_module
+
             faults_module.trigger(
                 fault, spec, tuple(networks), attempt=attempt,
                 timeout=timeout, in_pool=in_pool,
@@ -245,6 +274,8 @@ def _supervised_execute(
 
 def _failure_kind(error: BaseException) -> str:
     """Classify a terminal exception for :class:`RunFailure.kind`."""
+    from concurrent.futures.process import BrokenProcessPool
+
     if isinstance(error, RunTimeoutError):
         return "timeout"
     if isinstance(error, SimulationStallError):
@@ -376,7 +407,7 @@ class ExperimentRunner:
         retry_jitter: float = DEFAULT_RETRY_JITTER,
         retry_budget: float | None = None,
         stall_window_ticks: int | None = DEFAULT_STALL_WINDOW_TICKS,
-        fault_plan: "faults_module.FaultPlan | None" = None,
+        fault_plan: FaultPlan | None = None,
         journal: bool = True,
         trace_cache: bool = True,
         profile: bool = False,
@@ -445,7 +476,7 @@ class ExperimentRunner:
         # The compile phase resolves through the process-level cache; the
         # runner points its disk level under its own cache directory so
         # result shards and trace shards travel together.
-        tracecache.configure(directory=self.trace_dir, enabled=trace_cache)
+        _configure_trace_cache(self.trace_dir, trace_cache)
         self.journal: SweepJournal | None = (
             SweepJournal(self.cache_dir / JOURNAL_NAME) if journal else None
         )
@@ -464,7 +495,7 @@ class ExperimentRunner:
         )
         self._result_memo_lock = threading.Lock()
         #: Trace-cache counter deltas of the most recent planning pass.
-        self.last_trace_stats: tracecache.TraceCacheStats | None = None
+        self.last_trace_stats: TraceCacheStats | None = None
         #: Spec -> terminal failure record, from this runner's lifetime.
         self.failures: dict[RunSpec, RunFailure] = {}
         #: Aggregate of the most recent :meth:`run_many` batch.
@@ -519,9 +550,15 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
 
     def _make_pool(self, workers: int) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Loaded before the fork, so fork workers inherit the simulator
+        # stack instead of each compiling it again.
+        import repro.core.simulator  # noqa: F401
+
         return ProcessPoolExecutor(
             max_workers=workers,
-            initializer=_configure_worker_trace_cache,
+            initializer=_init_worker,
             initargs=(
                 str(self.trace_dir) if self.trace_cache else None,
                 self.trace_cache,
@@ -835,11 +872,13 @@ class ExperimentRunner:
         shards land next to its result shards.  The memo is content-
         addressed and survives re-pointing.
         """
+        from repro.compute import tracecache
+
         tracecache.configure(directory=self.trace_dir, enabled=self.trace_cache)
 
     def _precompile_frontends(
         self, cold: Sequence[RunSpec]
-    ) -> "tracecache.TraceCacheStats | None":
+    ) -> TraceCacheStats | None:
         """Compile each distinct frontend of a batch exactly once, here.
 
         A sweep of S specs over C cores would otherwise regenerate
@@ -854,6 +893,13 @@ class ExperimentRunner:
         if not self.trace_cache:
             self.last_trace_stats = None
             return None
+        if not cold:
+            # A warm batch compiles nothing: report a zero delta without
+            # loading the trace compiler.
+            self.last_trace_stats = TraceCacheStats()
+            return self.last_trace_stats
+        from repro.compute import tracecache
+
         cache = tracecache.process_cache()
         before = cache.stats.snapshot()
         seen: set[str] = set()
@@ -875,7 +921,7 @@ class ExperimentRunner:
     # Supervision primitives
     # ------------------------------------------------------------------ #
 
-    def _fault_for(self, spec: RunSpec) -> "faults_module.Fault | None":
+    def _fault_for(self, spec: RunSpec) -> Fault | None:
         if self.fault_plan is None:
             return None
         return self.fault_plan.lookup(spec)
@@ -1204,6 +1250,9 @@ class ExperimentRunner:
           in-worker SIGALRM evidently never fired) and hard-kills the
           pool; the overdue specs fail as timeouts, the rest re-run.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         workers = min(jobs, len(cold))
         pending: deque[tuple[RunSpec, int]] = deque((spec, 1) for spec in cold)
         suspects: deque[tuple[RunSpec, int]] = deque()

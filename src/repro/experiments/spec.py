@@ -30,7 +30,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.compute.dataflow import registered_dataflows
 from repro.config import presets
 from repro.config.arch import ArchConfig
 from repro.config.misc import MiscConfig
@@ -82,11 +81,17 @@ class RunSpec:
     version: int = RESULTS_VERSION
 
     def __post_init__(self) -> None:
-        if self.dataflow not in registered_dataflows():
-            raise ValueError(
-                f"unknown dataflow {self.dataflow!r}; registered engines: "
-                + ", ".join(registered_dataflows())
-            )
+        if self.dataflow != DEFAULT_DATAFLOW:
+            # The default engine is registered at import and the registry
+            # has no unregister, so only other names need the (execution
+            # layer) registry.
+            from repro.compute.dataflow import registered_dataflows
+
+            if self.dataflow not in registered_dataflows():
+                raise ValueError(
+                    f"unknown dataflow {self.dataflow!r}; registered engines: "
+                    + ", ".join(registered_dataflows())
+                )
         object.__setattr__(self, "workloads", tuple(self.workloads))
         if self.ptw_split is not None:
             object.__setattr__(self, "ptw_split", tuple(self.ptw_split))

@@ -1,15 +1,1 @@
 """MMU models: TLBs, page tables, page-table walkers (NeuMMU-style)."""
-
-from repro.mmu.tlb import Tlb
-from repro.mmu.pagetable import PageTable, PhysicalLayout
-from repro.mmu.ptw import WalkerPool
-from repro.mmu.mmu import Mmu, TranslationStats
-
-__all__ = [
-    "Tlb",
-    "PageTable",
-    "PhysicalLayout",
-    "WalkerPool",
-    "Mmu",
-    "TranslationStats",
-]

@@ -21,52 +21,3 @@ Three cooperating pieces, all zero-overhead when not enabled:
 Enable it per simulation with ``MultiCoreNPUSim(..., observe=True)`` or
 from the CLI with ``mnpusim profile run``.
 """
-
-from repro.obs.profiling import (
-    PhaseProfiler,
-    format_profile,
-    human_bytes,
-    human_seconds,
-)
-from repro.obs.registry import (
-    COUNTERS_SCHEMA,
-    Counter,
-    CounterRegistry,
-    Gauge,
-    Histogram,
-    format_tree,
-    merge_snapshots,
-)
-from repro.obs.spans import (
-    DramSpan,
-    LayerSpan,
-    RingBuffer,
-    SpanSink,
-    TileSpan,
-    TlbEvent,
-    WalkSpan,
-)
-from repro.obs.timeline import TRACE_SCHEMA_NOTE, TimelineTracer
-
-__all__ = [
-    "COUNTERS_SCHEMA",
-    "Counter",
-    "CounterRegistry",
-    "DramSpan",
-    "Gauge",
-    "Histogram",
-    "LayerSpan",
-    "PhaseProfiler",
-    "RingBuffer",
-    "SpanSink",
-    "TRACE_SCHEMA_NOTE",
-    "TileSpan",
-    "TimelineTracer",
-    "TlbEvent",
-    "WalkSpan",
-    "format_profile",
-    "format_tree",
-    "human_bytes",
-    "human_seconds",
-    "merge_snapshots",
-]

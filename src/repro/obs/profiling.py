@@ -7,14 +7,19 @@ executing the event loop, plus how many cache lookups hit.  The runner
 feeds it; ``mnpusim profile sweep`` and the sweep journal's ``profile``
 event render it.
 
+:class:`TraceCacheStats` counts the compile phase's trace-cache lookups;
+it lives here so a warm sweep reports it without the trace compiler.
+
 Also home to the human-unit formatters (:func:`human_bytes`,
 :func:`human_seconds`) shared by the CLI.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
 #: Version tag embedded in every profiler snapshot.
@@ -110,6 +115,58 @@ def format_profile(snapshot: Mapping[str, Any]) -> str:
         for name, value in snapshot["counts"].items():
             lines.append(f"{name:<24s} {value}")
     return "\n".join(lines)
+
+
+@dataclass
+class TraceCacheStats:
+    """Counters of one :class:`~repro.compute.tracecache.TraceCache`
+    (monotonic over its lifetime)."""
+
+    memo_hits: int = 0
+    disk_hits: int = 0
+    compiles: int = 0
+    oversize: int = 0
+    quarantined: int = 0
+
+    @property
+    def requests(self) -> int:
+        """Total ``get`` calls resolved."""
+        return self.memo_hits + self.disk_hits + self.compiles + self.oversize
+
+    @property
+    def hits(self) -> int:
+        """Requests served without a (re)compile."""
+        return self.memo_hits + self.disk_hits
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of requests served from memo or disk."""
+        return self.hits / self.requests if self.requests else 0.0
+
+    def snapshot(self) -> "TraceCacheStats":
+        return dataclasses.replace(self)
+
+    def since(self, earlier: "TraceCacheStats") -> "TraceCacheStats":
+        """Counter deltas relative to an earlier :meth:`snapshot`."""
+        return TraceCacheStats(
+            memo_hits=self.memo_hits - earlier.memo_hits,
+            disk_hits=self.disk_hits - earlier.disk_hits,
+            compiles=self.compiles - earlier.compiles,
+            oversize=self.oversize - earlier.oversize,
+            quarantined=self.quarantined - earlier.quarantined,
+        )
+
+    def summary(self) -> dict[str, float]:
+        """JSON-friendly rendering (journal / bench / CLI one-liners)."""
+        return {
+            "requests": self.requests,
+            "memo_hits": self.memo_hits,
+            "disk_hits": self.disk_hits,
+            "compiles": self.compiles,
+            "oversize": self.oversize,
+            "quarantined": self.quarantined,
+            "hit_rate": round(self.hit_rate, 4),
+        }
 
 
 def human_bytes(size: float) -> str:

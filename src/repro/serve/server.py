@@ -57,7 +57,7 @@ from repro.errors import (
 )
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.spec import RunSpec
-from repro.obs import CounterRegistry
+from repro.obs.registry import CounterRegistry
 from repro.serve import protocol
 from repro.storage import encode_result_shard
 

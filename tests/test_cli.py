@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _figure_producers, main
+from repro.experiments import figures
 
 
 @pytest.fixture()
@@ -268,6 +269,11 @@ class TestSweepCommand:
     def test_unknown_figures_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown figures"):
             main(["sweep", "fig4", "fig99", "--cache-dir", str(tmp_path)])
+
+    def test_every_planned_figure_has_a_producer(self):
+        # Structural: building the producers runs no simulation.
+        producers = _figure_producers(None, [], [])
+        assert set(producers) == set(figures.FIGURE_PLANNERS)
 
 
 class TestTraceOption:

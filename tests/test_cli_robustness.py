@@ -146,6 +146,24 @@ def test_sweep_completes_normally_without_signal(tmp_path, capsys):
     assert "fig15" in capsys.readouterr().out
 
 
+def test_parallel_sweep_prints_no_worker_tracebacks(tmp_path):
+    # Pool workers used to inherit the sweep's SIGTERM -> KeyboardInterrupt
+    # handler, so tearing the pool down after a healthy batch printed one
+    # traceback per worker.
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "fig15", "--jobs", "2",
+         "--quiet", "--cache-dir", str(tmp_path / "cache")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "fig15" in done.stdout
+    assert "Traceback" not in done.stderr, done.stderr
+
+
 # --------------------------------------------------------------------- #
 # The serve daemon as a process: boot, probe, SIGTERM, clean exit
 # --------------------------------------------------------------------- #

@@ -7,13 +7,13 @@ from __future__ import annotations
 import json
 
 from repro.cli import main
-from repro.obs import (
+from repro.obs.profiling import (
+    PROFILE_SCHEMA,
     PhaseProfiler,
     format_profile,
     human_bytes,
     human_seconds,
 )
-from repro.obs.profiling import PROFILE_SCHEMA
 
 
 class FakeClock:

@@ -6,14 +6,14 @@ import json
 
 import pytest
 
-from repro.obs import (
+from repro.obs.registry import (
     COUNTERS_SCHEMA,
     CounterRegistry,
     Histogram,
     format_tree,
+    json_copy,
     merge_snapshots,
 )
-from repro.obs.registry import json_copy
 
 
 class TestRegistration:

@@ -16,7 +16,9 @@ from repro.core.simulator import MultiCoreNPUSim
 from repro.core.tracing import TraceLogger
 from repro.experiments.spec import RunSpec
 from repro.models import zoo
-from repro.obs import CounterRegistry, RingBuffer, TimelineTracer
+from repro.obs.registry import CounterRegistry
+from repro.obs.spans import RingBuffer
+from repro.obs.timeline import TimelineTracer
 
 
 class TestRingBuffer:

@@ -4,11 +4,11 @@ import pytest
 
 from repro.config.arch import ArchConfig
 from repro.config.dram import DramConfig
-from repro.config.misc import MiscConfig
+from repro.config.misc import DEFAULT_STALL_WINDOW_TICKS, MiscConfig
 from repro.config.npumem import NpuMemConfig
 from repro.config.system import SystemConfig
 from repro.core.sharing import SharingLevel
-from repro.core.simulator import DEFAULT_STALL_WINDOW_TICKS, MultiCoreNPUSim
+from repro.core.simulator import MultiCoreNPUSim
 from repro.errors import (
     CoreDiagnostics,
     SimulationError,
